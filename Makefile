@@ -4,32 +4,18 @@
 #   make test    tier-1 tests
 #   make race    tests under the race detector (includes the httpfront
 #                concurrency stress test and the determinism regressions)
-#   make vet     go vet
+#   make vet     go vet, over the root module and the nested perfbench
+#                benchmark module (which ./... does not reach)
 #   make lint    the repo's custom determinism/concurrency analyzers,
 #                gated on lint.baseline.json (any non-baselined finding
 #                fails); writes prordlint.sarif for upload
 #   make lint-baseline  deliberately regenerate lint.baseline.json from
 #                current findings — a reviewed, committed act; never
 #                run in CI
-#   make race-failover  fault-tolerance stress tests under the race
-#                detector (backend crashes, failover retry, breaker churn)
-#   make race-overload  overload-control stress tests under the race
-#                detector (admission gate, degrade ladder, rate ramps)
-#   make race-dispatch  decision-core tests under the race detector
-#                (sim-vs-live differential replay, booking churn)
-#   make race-autoscale  elastic-pool stress tests under the race
-#                detector (join/drain churn storm, scripted scale replay)
-#   make race-snapshot  decision-snapshot suite under the race detector
-#                (concurrent snapshot publishes vs Route/Done/Rebook
-#                storms, the pre/post-snapshot differential, and the
-#                blocking-Recorder regression)
-#   make race-grayfault  gray-failure resilience suite under the race
-#                detector (slow-backend ejection, hedge races and
-#                cancellation leaks, degraded-transition churn)
-#   make race-fleet  multi-distributor fleet suite under the race
-#                detector (ownership-handoff storm racing ring
-#                membership changes, gossip-merge churn, multi-replica
-#                spray affinity)
+#   make race-stress  the concurrency stress suites repeated under the
+#                race detector (failover, overload, decision core,
+#                autoscale, snapshot, gray failure, fleet) for hunting
+#                flakes that one pass of `make race` can miss
 #   make bench-smoke  dispatch decision-latency microbench plus a short
 #                live-cluster loadgen run over all policies, plus the
 #                autoscale artifact (scale-up latency, warm-vs-cold join),
@@ -47,7 +33,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint lint-baseline race-failover race-overload race-dispatch race-autoscale race-snapshot race-grayfault race-fleet bench-smoke bench-gate bench-baseline ci
+.PHONY: build test race vet lint lint-baseline race-stress bench-smoke bench-gate bench-baseline ci
 
 build:
 	$(GO) build ./...
@@ -60,6 +46,7 @@ race:
 
 vet:
 	$(GO) vet ./...
+	$(GO) -C perfbench vet ./...
 
 lint:
 	$(GO) run ./cmd/prordlint -baseline lint.baseline.json -sarif prordlint.sarif ./...
@@ -70,68 +57,38 @@ lint:
 lint-baseline:
 	$(GO) run ./cmd/prordlint -baseline lint.baseline.json -write-baseline ./...
 
-# The failover suite repeated under the race detector: backend crashes
-# masked by retry, breaker trips/half-open recovery, and the done()
-# bookkeeping churn test. Already part of `make race`; this target runs
-# it alone, repeated, for hunting flakes in the fault-tolerance path.
-race-failover:
+# The stress suites repeated under the race detector. Each is already
+# part of `make race`; repeating them with -count=2 hunts flakes in the
+# concurrent paths. The invocations cover, in order:
+#   failover   backend crashes masked by retry, breaker trips and
+#              half-open recovery, the done() bookkeeping churn test
+#   overload   estimator/tier transitions, the Critical-tier admission
+#              gate, tiered shedding, the loadgen rate-ramp scenario
+#   dispatch   the sim-vs-live differential replay and booking churn
+#   autoscale  the pool state machines, then the join/drain churn storm,
+#              the scripted-scale differential and the live scale paths
+#   snapshot   snapshot publishes and pool resizes racing Route/Done/
+#              Rebook, the golden-digest differential, the blocking-
+#              Recorder regression
+#   gray       the outlier detector, then hedge races in both finishing
+#              orders, degraded-transition churn, the sim replay
+#   fleet      ring and gossip churn storms, then the ownership-handoff
+#              storm, forward/gossip churn, the k-distributor sim replay
+#              and the multi-replica loadgen spray
+race-stress:
 	$(GO) test -race -count=2 -run 'Failover|Fault|Probe|Churn|Breaker' \
 		./internal/health/ ./internal/httpfront/ ./internal/loadgen/
-
-# The overload suite repeated under the race detector: estimator/tier
-# transitions, the Critical-tier admission gate, tiered shedding
-# through both adapters of the decision core, and the loadgen rate-ramp
-# acceptance scenario. Already part of `make race`; this target runs it
-# alone, repeated, for hunting flakes in the overload path.
-race-overload:
 	$(GO) test -race -count=2 -run 'Overload|Admission|Shed|Tier|Gate|Ramp|Estimator' \
 		./internal/overload/ ./internal/httpfront/ ./internal/cluster/ ./internal/loadgen/
-
-# The shared decision core's correctness suite under the race detector:
-# the sim-vs-live differential replay (byte-identical decision streams)
-# and the concurrent booking churn test, repeated for flake hunting.
-# Already part of `make race`; this target runs it alone.
-race-dispatch:
 	$(GO) test -race -count=2 -run 'Differential|Churn' ./internal/dispatch/
-
-# The elastic-pool suite under the race detector: the autoscale state
-# machines, the concurrent join/drain churn storm against the decision
-# core, the scripted-scale sim-vs-live differential, and the live
-# front-end's scale paths, repeated for flake hunting. Already part of
-# `make race`; this target runs it alone.
-race-autoscale:
 	$(GO) test -race -count=2 ./internal/autoscale/
 	$(GO) test -race -count=2 -run 'Scale|Elastic|Autoscale|Warm|Drain' \
 		./internal/dispatch/ ./internal/httpfront/ ./internal/loadgen/
-
-# The lock-free read path's correctness suite under the race detector:
-# concurrent RefreshMining snapshot publishes and pool resizes against
-# Route/Done/Rebook storms, the golden-digest differential proving the
-# snapshot path reproduces the pre-snapshot decision stream, and the
-# blocking-Recorder regression (a stalled sink must not stall routing).
-# Already part of `make race`; this target runs it alone, repeated.
-race-snapshot:
 	$(GO) test -race -count=2 -run 'Snapshot|Recorder|Fold|Updater' \
 		./internal/dispatch/ ./internal/mining/
-
-# The gray-failure resilience suite under the race detector: the
-# latency-outlier detector's transitions, the live hedge race in both
-# finishing orders (leak checks), the degraded-vs-Route/Done/Rebook
-# churn storm in the decision core, and the deterministic sim replay.
-# Already part of `make race`; this target runs it alone, repeated.
-race-grayfault:
 	$(GO) test -race -count=2 ./internal/health/
 	$(GO) test -race -count=2 -run 'Gray|Hedge|Degraded|Slow|Deadline' \
 		./internal/dispatch/ ./internal/httpfront/ ./internal/cluster/ ./internal/loadgen/
-
-# The multi-distributor fleet suite under the race detector: the ring
-# and gossip churn storms in internal/fleet, the core's ownership-
-# handoff storm (Route/Done/Rebook racing ring membership changes), the
-# live front-end's forward/gossip churn, the deterministic k-distributor
-# sim replay, and the multi-replica loadgen spray with its session-
-# affinity invariant. Already part of `make race`; this target runs it
-# alone, repeated, for hunting flakes in the fleet path.
-race-fleet:
 	$(GO) test -race -count=2 ./internal/fleet/
 	$(GO) test -race -count=2 -run 'Fleet|Ownership|Ring|Gossip' \
 		./internal/dispatch/ ./internal/httpfront/ ./internal/cluster/ ./internal/loadgen/
@@ -177,4 +134,4 @@ bench-baseline:
 	BENCH_DISPATCH_OUT=$(CURDIR)/BENCH_dispatch.baseline.json $(GO) test \
 		-run TestDispatchBenchArtifact ./internal/dispatch/
 
-ci: build vet lint race race-failover race-overload race-dispatch race-autoscale race-snapshot race-grayfault race-fleet bench-gate
+ci: build vet lint race race-stress bench-gate

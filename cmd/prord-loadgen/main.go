@@ -26,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -87,6 +88,10 @@ func main() {
 	if flag.NArg() > 0 {
 		fail(fmt.Errorf("unexpected arguments: %s", strings.Join(flag.Args(), " ")))
 	}
+	requireLayer(*grayOn, "-gray", "hedge", "hedge-cap", "deadline", "gray-multiplier", "gray-hold")
+	requireLayer(*hedge, "-hedge", "hedge-cap")
+	requireLayer(*overloadOn, "-overload", "overload-capacity", "overload-queue", "overload-min-hold")
+	requireLayer(*poolInitial > 0, "-pool-initial", "pool-min", "cold-join")
 
 	m, err := loadgen.ParseMode(*mode)
 	if err != nil {
@@ -134,8 +139,6 @@ func main() {
 			HedgeCap: *hedgeCap,
 			Deadline: *deadline,
 		}
-	} else if *hedge || *hedgeCap != 0 || *deadline != 0 || *grayMult != 0 || *grayHold != 0 {
-		fail(fmt.Errorf("-hedge, -hedge-cap, -deadline, -gray-multiplier and -gray-hold require -gray"))
 	}
 	var ovcfg *overload.Config
 	if *overloadOn {
@@ -205,6 +208,22 @@ func main() {
 		}
 		fmt.Printf("\nartifact written to %s\n", *out)
 	}
+}
+
+// requireLayer rejects, as a usage error, any of flags set on the
+// command line while the layer that enable turns on is off: the layer
+// would silently ignore it. Explicit sets are checked, not values, so a
+// flag repeating its default is rejected too.
+func requireLayer(on bool, enable string, flags ...string) {
+	if on {
+		return
+	}
+	flag.Visit(func(f *flag.Flag) {
+		if slices.Contains(flags, f.Name) {
+			fmt.Fprintf(os.Stderr, "prord-loadgen: -%s has no effect without %s\n", f.Name, enable)
+			os.Exit(2)
+		}
+	})
 }
 
 func fail(err error) {

@@ -44,6 +44,7 @@ import (
 	"net/http"
 	"net/url"
 	"os"
+	"slices"
 	"time"
 
 	"prord/internal/autoscale"
@@ -100,6 +101,13 @@ func main() {
 		poolTick     = flag.Duration("pool-interval", 0, "autoscale housekeeping tick: controller, warm promotion, drain reaping (0: default 500ms)")
 	)
 	flag.Parse()
+	requireLayer(*grayOn, "-gray", "hedge", "hedge-cap", "deadline", "gray-multiplier", "gray-hold")
+	requireLayer(*hedge, "-hedge", "hedge-cap")
+	requireLayer(*overloadOn, "-overload", "overload-capacity", "overload-queue", "overload-min-hold")
+	requireLayer(*poolInitial > 0, "-pool-initial", "pool-min", "pool-up-hold", "pool-down-hold",
+		"pool-cooldown", "pool-warm-top", "pool-cold-join", "pool-interval")
+	requireLayer(*fleetReplicas > 0, "-fleet-replicas", "fleet-gossip")
+	requireLayer(*probeInterval > 0, "-probe-interval", "probe-timeout")
 	if *backends <= 0 {
 		fail(fmt.Errorf("-backends must be positive, got %d", *backends))
 	}
@@ -338,6 +346,22 @@ func examplePage(site *trace.Site) string {
 		return site.Pages[0].Path
 	}
 	return "/"
+}
+
+// requireLayer rejects, as a usage error, any of flags set on the
+// command line while the layer that enable turns on is off: the layer
+// would silently ignore it. Explicit sets are checked, not values,
+// because some of these flags (-hedge) default to true.
+func requireLayer(on bool, enable string, flags ...string) {
+	if on {
+		return
+	}
+	flag.Visit(func(f *flag.Flag) {
+		if slices.Contains(flags, f.Name) {
+			fmt.Fprintf(os.Stderr, "prord-server: -%s has no effect without %s\n", f.Name, enable)
+			os.Exit(2)
+		}
+	})
 }
 
 func fail(err error) {

@@ -195,7 +195,7 @@ func TestFleetGossipLocalityAndRanks(t *testing.T) {
 
 // TestFleetLiveChurnRace races live traffic on both replicas against
 // gossip rounds and ring membership flaps — the front-end half of the
-// race-fleet ownership-handoff storm. Run under -race.
+// fleet ownership-handoff storm in `make race-stress`. Run under -race.
 func TestFleetLiveChurnRace(t *testing.T) {
 	ds, ring, _ := testFleet(t, 2, 2)
 	stop := make(chan struct{})

@@ -134,7 +134,7 @@ type Config struct {
 	// Default 16.
 	Concurrency int
 	// Think is the closed-loop pause before each page request (embedded
-	// objects follow immediately). Default 25ms; set negative for none.
+	// objects follow immediately). Zero means none.
 	Think time.Duration
 
 	// Duration bounds the run; the open-loop schedule spans exactly this
@@ -142,7 +142,7 @@ type Config struct {
 	// 10s.
 	Duration time.Duration
 	// Warmup is the initial window excluded from measurement. Must be
-	// shorter than Duration. Default 1s.
+	// shorter than Duration. Zero measures from the first request.
 	Warmup time.Duration
 
 	// Seed derives every random stream (site, trace, schedules).
@@ -159,7 +159,7 @@ type Config struct {
 	// CacheBytes is each demo backend's memory cache. Default 4 MiB.
 	CacheBytes int64
 	// MissLatency is the simulated disk latency per backend cache miss.
-	// Default 8ms; set negative for none.
+	// Zero means none.
 	MissLatency time.Duration
 
 	// Faults schedules fail-stop backend outages during each live run;
@@ -238,16 +238,8 @@ func (c Config) withDefaults() Config {
 	if c.Concurrency == 0 {
 		c.Concurrency = 16
 	}
-	if c.Think == 0 {
-		c.Think = 25 * time.Millisecond
-	} else if c.Think < 0 {
-		c.Think = 0
-	}
 	if c.Duration == 0 {
 		c.Duration = 10 * time.Second
-	}
-	if c.Warmup == 0 {
-		c.Warmup = time.Second
 	}
 	if c.Scale == 0 {
 		c.Scale = 0.2
@@ -257,9 +249,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheBytes == 0 {
 		c.CacheBytes = 4 << 20
-	}
-	if c.MissLatency < 0 {
-		c.MissLatency = 0
 	}
 	return c
 }
@@ -307,6 +296,9 @@ func (c Config) Validate() error {
 		}
 		if c.Concurrency <= 0 {
 			return fmt.Errorf("loadgen: concurrency must be positive, got %d", c.Concurrency)
+		}
+		if c.Think < 0 {
+			return fmt.Errorf("loadgen: think time must not be negative, got %v", c.Think)
 		}
 	default:
 		return fmt.Errorf("loadgen: unknown mode %d", int(c.Mode))

@@ -76,6 +76,9 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Scale = -1 },
 		func(c *Config) { c.TrainFraction = 1.5 },
 		func(c *Config) { c.CacheBytes = -1 },
+		func(c *Config) { c.Warmup = -time.Millisecond },
+		func(c *Config) { c.Mode = ClosedLoop; c.Think = -time.Millisecond },
+		func(c *Config) { c.MissLatency = -time.Millisecond },
 	}
 	for i, mutate := range bad {
 		cfg := smallConfig(OpenLoop).withDefaults()
@@ -257,6 +260,50 @@ func TestClosedLoopLive(t *testing.T) {
 	run := &res.Runs[0]
 	if got := run.Requests + run.WarmupRequests; got > int64(res.Workload.Scheduled) {
 		t.Errorf("completed %d > scheduled %d", got, res.Workload.Scheduled)
+	}
+}
+
+// TestZeroThinkAndWarmupMeanNone pins the zero values: no think time
+// and no warmup, not hidden defaults. A closed run with both at zero
+// measures every completion.
+func TestZeroThinkAndWarmupMeanNone(t *testing.T) {
+	cfg := smallConfig(ClosedLoop)
+	cfg.Think, cfg.Warmup, cfg.CompareSim = 0, 0, false
+	if d := cfg.withDefaults(); d.Think != 0 || d.Warmup != 0 {
+		t.Fatalf("withDefaults turned zero think/warmup into %v/%v", d.Think, d.Warmup)
+	}
+	h, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := h.Run("PRORD")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run.WarmupRequests != 0 || run.Requests == 0 || run.ThroughputRPS <= 0 {
+		t.Errorf("zero-warmup run: %d warmup, %d measured, %v req/s",
+			run.WarmupRequests, run.Requests, run.ThroughputRPS)
+	}
+}
+
+// TestRunEndingInsideWarmupFails: a closed run whose sessions all end
+// before the warmup does has nothing to report, and must say so rather
+// than emit a row of zeros.
+func TestRunEndingInsideWarmupFails(t *testing.T) {
+	cfg := smallConfig(ClosedLoop)
+	cfg.Warmup, cfg.Duration, cfg.CompareSim = time.Minute, 2*time.Minute, false
+	h, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := h.Run("PRORD")
+	if err == nil {
+		t.Fatalf("run inside the warmup returned a row: %+v", run)
+	}
+	for _, want := range []string{"no requests", "1m0s warmup", "run took"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
 	}
 }
 

@@ -236,16 +236,16 @@ func (r *Result) WriteTable(w io.Writer) error {
 		r.Config.Warmup, r.Config.Duration); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "%-16s %9s %9s %9s %9s %7s %6s %9s %7s\n",
-		"policy", "req/s", "p50", "p90", "p99", "hit", "skew", "disp/req", "errors"); err != nil {
+	if _, err := fmt.Fprintf(w, "%-16s %9s %9s %9s %9s %7s %6s %9s %8s %7s\n",
+		"policy", "req/s", "p50", "p90", "p99", "hit", "skew", "disp/req", "handoffs", "errors"); err != nil {
 		return err
 	}
 	for i := range r.Runs {
 		run := &r.Runs[i]
-		if _, err := fmt.Fprintf(w, "%-16s %9.1f %9v %9v %9v %7.3f %6.2f %9.3f %7d\n",
+		if _, err := fmt.Fprintf(w, "%-16s %9.1f %9v %9v %9v %7.3f %6.2f %9.3f %8d %7d\n",
 			run.Name, run.ThroughputRPS,
 			us(run.Latency.P50US), us(run.Latency.P90US), us(run.Latency.P99US),
-			run.HitRate, run.LoadSkew, run.DispatchPerRequest, run.Errors); err != nil {
+			run.HitRate, run.LoadSkew, run.DispatchPerRequest, run.Handoffs, run.Errors); err != nil {
 			return err
 		}
 		if run.Failovers > 0 || run.Retries > 0 {

@@ -287,6 +287,12 @@ func (h *Harness) Run(polName string) (*metrics.BenchRun, error) {
 	stopScale()
 	stopFaults()
 	c.drainPrefetches(time.Second)
+	// A row of zeros would read as a measurement. It is a
+	// misconfiguration (or a dead cluster), so it is an error.
+	if live.meas.Count() == 0 {
+		return nil, fmt.Errorf("loadgen: %s completed no requests after the %v warmup (run took %v; %d errors, %d shed)",
+			polName, h.cfg.Warmup, live.elapsed.Round(time.Millisecond), live.errors, live.shed)
+	}
 
 	run := h.reduce(polName, c, live)
 	if h.cfg.CompareSim {

@@ -9,7 +9,7 @@ import (
 )
 
 // BenchSchema versions the benchmark artifact layout shared by
-// prord-bench and prord-loadgen (BENCH_*.json). Bump it whenever a field
+// prord-loadgen and the bench tests (BENCH_*.json). Bump it whenever a field
 // is renamed, removed or changes meaning; adding fields is
 // backward-compatible and keeps the version.
 //
@@ -299,7 +299,7 @@ type BenchRun struct {
 // wall-clock quantities the producing tool documents).
 type BenchArtifact struct {
 	Schema string `json:"schema"`
-	// Tool names the producing command ("prord-bench", "prord-loadgen").
+	// Tool names the producer ("prord-loadgen", "dispatch-bench").
 	Tool string `json:"tool"`
 	// GeneratedAt is the single wall-clock timestamp of the artifact
 	// (RFC 3339). It is the only field two identically-seeded runs are
