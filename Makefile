@@ -4,8 +4,9 @@
 #   make test    tier-1 tests
 #   make race    tests under the race detector (includes the httpfront
 #                concurrency stress test and the determinism regressions)
-#   make vet     go vet, over the root module and the nested perfbench
-#                benchmark module (which ./... does not reach)
+#   make vet     gofmt (fails on any unformatted file), then go vet over
+#                the root module and the nested perfbench benchmark
+#                module (which ./... does not reach)
 #   make lint    the repo's custom determinism/concurrency analyzers,
 #                gated on lint.baseline.json (any non-baselined finding
 #                fails); writes prordlint.sarif for upload
@@ -29,7 +30,8 @@
 #                also prints the fleet k ∈ {1,2,4} rows ungated
 #   make bench-baseline  deliberately re-measure and overwrite the
 #                committed bench baseline — a reviewed act; never in CI
-#   make ci      the full gate CI runs on every push and PR
+#   make ci      the full gate CI runs on every push and PR, ending with
+#                a 10s fuzz smoke of the front-end's attempt writer
 
 GO ?= go
 
@@ -45,6 +47,7 @@ race:
 	$(GO) test -race ./...
 
 vet:
+	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) -C perfbench vet ./...
 
@@ -135,3 +138,4 @@ bench-baseline:
 		-run TestDispatchBenchArtifact ./internal/dispatch/
 
 ci: build vet lint race race-stress bench-gate
+	$(GO) test -run '^$$' -fuzz FuzzAttemptWriter -fuzztime 10s ./internal/httpfront/

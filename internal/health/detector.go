@@ -105,13 +105,13 @@ type lat struct {
 	ewma    float64         // smoothed latency, ns
 	haveEwm bool
 
-	phase       phase
-	overSince   time.Time // healthy/probation: first over-threshold instant (zero: not over)
-	ejectedAt   time.Time // degraded: when the ejection happened
-	readmitAt   time.Time // probation: when the dwell expired
-	dwell       time.Duration
-	ejections   int64
-	lastP90     time.Duration // from the most recent evaluation
+	phase     phase
+	overSince time.Time // healthy/probation: first over-threshold instant (zero: not over)
+	ejectedAt time.Time // degraded: when the ejection happened
+	readmitAt time.Time // probation: when the dwell expired
+	dwell     time.Duration
+	ejections int64
+	lastP90   time.Duration // from the most recent evaluation
 }
 
 // Detector is the pool-relative gray-failure detector: it ingests

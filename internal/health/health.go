@@ -130,6 +130,19 @@ func (b *Breaker) Begin(now time.Time) {
 	}
 }
 
+// Abandon hands back a half-open trial whose request ended without a
+// verdict (the client hung up before the backend answered): the breaker
+// returns to Open with its backoff already expired, so the next request
+// claims a fresh trial instead of the breaker waiting forever on one
+// that will never report. Any other state is left alone.
+func (b *Breaker) Abandon() {
+	if b.state == HalfOpen {
+		// openUntil is already in the past: Begin only claims a trial
+		// once the backoff has expired.
+		b.state = Open
+	}
+}
+
 // OnSuccess records a successful request or probe. It closes the breaker
 // from any state and resets the failure streak and backoff.
 func (b *Breaker) OnSuccess(now time.Time) {

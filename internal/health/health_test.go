@@ -90,6 +90,44 @@ func TestBreakerHalfOpenTrial(t *testing.T) {
 	}
 }
 
+// TestBreakerAbandonedTrialReopensReady: a half-open trial abandoned
+// without a verdict must not wedge the breaker in HalfOpen (where Ready
+// is false forever when nothing probes): it returns to Open with its
+// backoff already expired, counts nothing, and a fresh trial can start.
+func TestBreakerAbandonedTrialReopensReady(t *testing.T) {
+	ck := newClock()
+	b := NewBreaker(Config{Threshold: 1, Backoff: time.Second})
+	b.OnFailure(ck.now) // trip
+	b.Abandon()         // no trial in flight: nothing changes
+	if b.State() != Open || b.Ready(ck.now) {
+		t.Fatalf("Abandon without a trial changed an open breaker: %v ready=%v", b.State(), b.Ready(ck.now))
+	}
+	b.Begin(ck.advance(time.Second))
+	if b.State() != HalfOpen || b.Ready(ck.now) {
+		t.Fatalf("state = %v ready=%v, want a claimed HalfOpen trial", b.State(), b.Ready(ck.now))
+	}
+	b.Abandon()
+	if b.State() != Open {
+		t.Fatalf("state after abandoned trial = %v, want Open", b.State())
+	}
+	if !b.Ready(ck.now) {
+		t.Fatal("abandoned trial left the breaker not Ready: its backoff must stay expired")
+	}
+	if s := b.Snapshot(); s.Failures != 1 || s.Successes != 0 || s.Trips != 1 {
+		t.Fatalf("abandoned trial was counted: %+v", s)
+	}
+	// The next request claims a fresh trial, which decides as usual.
+	b.Begin(ck.now)
+	b.OnSuccess(ck.now)
+	if b.State() != Closed {
+		t.Fatalf("state after the fresh trial = %v, want Closed", b.State())
+	}
+	b.Abandon() // closed: nothing changes
+	if b.State() != Closed {
+		t.Fatalf("Abandon moved a closed breaker to %v", b.State())
+	}
+}
+
 func TestBreakerSuccessResetsStreak(t *testing.T) {
 	ck := newClock()
 	b := NewBreaker(Config{Threshold: 3})

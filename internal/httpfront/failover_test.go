@@ -369,10 +369,10 @@ func TestSessionEvictionKeepsActiveSessions(t *testing.T) {
 	<-done
 }
 
-// TestStatusRecorderForwardsFlush: a backend that flushes mid-response
+// TestAttemptWriterForwardsFlush: a backend that flushes mid-response
 // must have its first chunk reach the client before the response ends,
-// which requires the front-end's recorder to forward Flush.
-func TestStatusRecorderForwardsFlush(t *testing.T) {
+// which requires the front-end's attempt writer to forward Flush.
+func TestAttemptWriterForwardsFlush(t *testing.T) {
 	release := make(chan struct{})
 	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, "first\n")

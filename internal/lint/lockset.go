@@ -68,10 +68,11 @@ type rankDef struct {
 // emitter's mutex, the striped policy target tables, the WRR rotor
 // and the incremental mining updater are leaves for the same reason:
 // each guards a few fields and calls nothing while held. The gray
-// layer adds three more leaves: the latency-outlier detector's state
+// layer adds two more leaves: the latency-outlier detector's state
 // mutex (its evaluation sorts in-memory buffers only) and the hedge
-// race's two bookkeeping mutexes (writer arbitration and the
-// primary/backup handshake — the proxy work runs outside them). The
+// race's primary/backup handshake mutex (the proxy work runs outside
+// it, and the race for the client writer is a lock-free
+// compare-and-swap). The
 // fleet layer adds five more leaves: the ownership ring's membership
 // writer (readers are lock-free off an atomic snapshot), the gossip
 // digest board, the merger's watermark table (Apply callbacks run
@@ -91,7 +92,6 @@ var lockHierarchy = []rankDef{
 	{"internal/mining", "Updater", "mu", 96, true},
 	{"internal/autoscale", "Pool", "mu", 95, true},
 	{"internal/health", "Detector", "mu", 97, true},
-	{"internal/httpfront", "raceWriter", "mu", 98, true},
 	{"internal/httpfront", "hedgedAttempt", "mu", 99, true},
 	{"internal/fleet", "Ring", "mu", 100, true},
 	{"internal/fleet", "Exchanger", "mu", 101, true},

@@ -1,55 +1,54 @@
-// lockorder fixture: the hedge race's bookkeeping mutexes are leaves —
-// raceWriter.mu arbitrates the client writer, hedgedAttempt.mu guards
-// the primary/backup handshake, and the proxy work runs outside both.
-// Nesting one under the other (either order) flags under
-// prord/internal/httpfront, where both classes are ranked leaves.
+// lockorder fixture: the front-end's hedge and fleet bookkeeping
+// mutexes are leaves — hedgedAttempt.mu guards the hedge race's
+// primary/backup handshake, fleetState.healthMu the per-peer health
+// verdicts, and nothing else is acquired under either. Nesting one
+// under the other (either order) flags under prord/internal/httpfront,
+// where both classes are ranked leaves.
 package httpfront
 
 import "sync"
 
-type raceWriter struct {
-	mu    sync.Mutex
-	owner int
-}
-
 type hedgedAttempt struct {
-	race raceWriter
-
 	mu          sync.Mutex
 	primaryDone bool
 	launched    bool
 }
 
-// claim is the clean shape: each leaf is taken alone, innermost.
-func (h *hedgedAttempt) claim(id int) bool {
-	h.mu.Lock()
-	h.primaryDone = true
-	h.mu.Unlock()
-	h.race.mu.Lock()
-	defer h.race.mu.Unlock()
-	if h.race.owner == 0 {
-		h.race.owner = id
-	}
-	return h.race.owner == id
+type fleetState struct {
+	healthMu sync.Mutex
+	verdicts map[int]bool
 }
 
-// badClaimUnderHandshake holds the handshake mutex across the writer
-// arbitration — a leaf acquired under a leaf.
-func (h *hedgedAttempt) badClaimUnderHandshake() {
+// launchThenMark is the clean shape: each leaf is taken alone,
+// innermost.
+func (h *hedgedAttempt) launchThenMark(fs *fleetState, peer int) bool {
+	h.mu.Lock()
+	launched := !h.primaryDone
+	h.launched = launched
+	h.mu.Unlock()
+	fs.healthMu.Lock()
+	defer fs.healthMu.Unlock()
+	fs.verdicts[peer] = launched
+	return launched
+}
+
+// badVerdictUnderHandshake holds the handshake mutex across the
+// verdict update — a leaf acquired under a leaf.
+func (h *hedgedAttempt) badVerdictUnderHandshake(fs *fleetState) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if !h.launched {
-		h.race.mu.Lock() // want lockorder
-		h.race.owner = 1
-		h.race.mu.Unlock()
+		fs.healthMu.Lock() // want lockorder
+		fs.verdicts[0] = true
+		fs.healthMu.Unlock()
 	}
 }
 
-// badHandshakeUnderClaim is the inverse nesting; leaf rules are
+// badHandshakeUnderVerdict is the inverse nesting; leaf rules are
 // direction-independent.
-func (h *hedgedAttempt) badHandshakeUnderClaim() {
-	h.race.mu.Lock()
-	defer h.race.mu.Unlock()
+func (h *hedgedAttempt) badHandshakeUnderVerdict(fs *fleetState) {
+	fs.healthMu.Lock()
+	defer fs.healthMu.Unlock()
 	h.mu.Lock() // want lockorder
 	h.launched = true
 	h.mu.Unlock()
